@@ -220,9 +220,9 @@ void BM_GradientEnqueued(benchmark::State& state) {
   fixture.device.ResetModeledTime();
   for (auto _ : state) {
     benchmark::DoNotOptimize(fixture.engine->Estimate(fixture.box));
-    fixture.engine->EnqueueGradient();
+    fixture.engine->EnqueueGradientSlot(0);
     fixture.device.AdvanceHostTime(kQueryExecutionS);
-    fixture.engine->CollectGradient(&gradient);
+    fixture.engine->CollectGradientSlot(0, &gradient);
     benchmark::DoNotOptimize(gradient.data());
   }
   ReportModeledCounters(state, fixture.device);

@@ -18,6 +18,12 @@
 
 namespace fkde {
 
+/// True for a selectivity: a value in [0, 1] (so never NaN or infinite).
+/// Feedback outside it carries no loss gradient worth following.
+inline bool IsSelectivity(double selectivity) {
+  return selectivity >= 0.0 && selectivity <= 1.0;
+}
+
 /// \brief Abstract multidimensional range-selectivity estimator.
 ///
 /// Selectivities are fractions in [0, 1] of the relation's cardinality.

@@ -244,13 +244,8 @@ kb::ShardKernelView KdeEngine::ShardView(std::size_t shard) const {
 }
 
 double KdeEngine::Estimate(const Box& box) {
-  PrepareForPass();
-  std::vector<double> busy_before;
-  SnapshotBusy(&busy_before);
   BeginEstimateSlot(box, 0);
-  const double estimate = FinishEstimateSlot(0);
-  ObservePass(busy_before);
-  return estimate;
+  return FinishEstimateSlot(0);
 }
 
 void KdeEngine::BeginEstimateSlot(const Box& box, std::size_t slot) {
@@ -258,6 +253,14 @@ void KdeEngine::BeginEstimateSlot(const Box& box, std::size_t slot) {
   FKDE_CHECK_MSG(slot < bounds_staging_.size(), "slot beyond ring depth");
   double* staging = bounds_staging_[slot].data();
   StageBounds(box, staging);
+  // One pass at a time, the pass is the rebalancer's unit: apply a due
+  // migration before the first enqueue and measure the pass's busy time.
+  // Inside a streaming session passes overlap, so their busy deltas are
+  // not attributable, and the rebalancer stays frozen (PrepareForPass).
+  if (!streaming_) {
+    PrepareForPass();
+    SnapshotBusy(&busy_before_);
+  }
 
   // Figure 3, steps 1-4, per shard and concurrently across shards: bounds
   // upload, one work item per sample point computing the closed-form
@@ -312,6 +315,7 @@ double KdeEngine::FinishEstimateSlot(std::size_t slot) {
     }
     total += sl.est_staging;
   }
+  if (!streaming_) ObservePass(busy_before_);
   last_estimate_ = total / static_cast<double>(sample_size());
   return last_estimate_;
 }
@@ -404,20 +408,6 @@ double KdeEngine::EstimateWithGradient(const Box& box,
   return last_estimate_;
 }
 
-Event KdeEngine::EnqueueGradient() {
-  EnqueueGradientSlot(0);
-  gradient_pending_ = true;
-  // The last shard's read-back is the caller-visible handle (all shards'
-  // events are held in their slots).
-  Event last;
-  for (EngineShard& sh : shards_) {
-    if (sh.slots[0].pending_gradient.valid()) {
-      last = sh.slots[0].pending_gradient;
-    }
-  }
-  return last;
-}
-
 void KdeEngine::EnqueueGradientSlot(std::size_t slot) {
   const std::size_t d = dims();
   // Section 5.5, steps 5-6, for the bounds resident in `slot`: per
@@ -443,12 +433,6 @@ void KdeEngine::EnqueueGradientSlot(std::size_t slot) {
     sl.pending_gradient =
         queue->EnqueueCopyToHost(sl.grad_sums, 0, d, sl.grad_staging.data());
   }
-}
-
-void KdeEngine::CollectGradient(std::vector<double>* gradient) {
-  FKDE_CHECK_MSG(gradient_pending_, "no enqueued gradient to collect");
-  CollectGradientSlot(0, gradient);
-  gradient_pending_ = false;
 }
 
 void KdeEngine::CollectGradientSlot(std::size_t slot,

@@ -11,7 +11,7 @@
 ///  * the estimator gradient ∂p̂_H(Ω)/∂h_i — eq. (15)-(17), either
 ///    synchronously or ENQUEUED on the device's command queue so it runs
 ///    while the database executes the query (Section 5.5, steps 5-6:
-///    `EnqueueGradient`/`CollectGradient`);
+///    `EnqueueGradientSlot`/`CollectGradientSlot` on a query's slot);
 ///  * Scott's rule — eq. (3), via parallel sum / sum-of-squares reductions
 ///    and the variance identity (Section 5.2).
 ///
@@ -105,36 +105,17 @@ class KdeEngine {
   /// kernels run concurrently; the per-dimension sums fold on the host.
   std::vector<double> ComputeScottBandwidth();
 
-  /// Estimates the selectivity of `box` (eq. 2). Transfers the query
-  /// bounds in, runs the contribution kernel and reduction on every
+  /// Estimates the selectivity of `box` (eq. 2) on slot 0: transfers the
+  /// query bounds in, runs the contribution kernel and reduction on every
   /// shard, transfers the per-shard scalar sums out and folds them.
   /// Per-point contributions stay on each shard's device.
   double Estimate(const Box& box);
 
   /// Estimate plus the gradient ∂p̂/∂h_i (eq. 17), fully synchronous —
   /// the bandwidth-optimization path. `gradient->size()` becomes dims().
-  /// For the adaptive feedback loop use `EnqueueGradient` instead, which
-  /// hides the gradient work behind query execution.
+  /// For the adaptive feedback loop use `EnqueueGradientSlot` instead,
+  /// which hides the gradient work behind query execution.
   double EstimateWithGradient(const Box& box, std::vector<double>* gradient);
-
-  /// Enqueues the Section 5.5 gradient pass (steps 5-6) for the box of
-  /// the LAST `Estimate` call without blocking: per shard, the fused
-  /// partials kernel, ONE segmented reduction over the d dim-major
-  /// partial segments, and a d-double read-back. The devices crunch while
-  /// the database executes the query; `CollectGradient` waits on the
-  /// per-shard events when the feedback arrives. Any previously pending
-  /// gradient is discarded. Does not touch the retained contributions.
-  /// Returns the last shard's read-back event (all shards' events are
-  /// held internally).
-  Event EnqueueGradient();
-
-  /// Waits for the pending `EnqueueGradient` pass, folds the per-shard
-  /// partial gradients and writes ∂p̂/∂h (arity dims()) into `gradient`.
-  /// Requires `gradient_pending()`.
-  void CollectGradient(std::vector<double>* gradient);
-
-  /// True between `EnqueueGradient` and `CollectGradient`.
-  bool gradient_pending() const { return gradient_pending_; }
 
   /// Batched estimation: uploads all `boxes.size()` query bounds in ONE
   /// transfer per shard, runs one fused contribution kernel over the
@@ -177,21 +158,22 @@ class KdeEngine {
   /// (or the estimate installed by `SetFeedbackContext` while streaming).
   double last_estimate() const { return last_estimate_; }
 
-  // -- Streaming slot ring (Section 5.5 pipelining, N queries deep) -----
+  // -- Slot ring (Section 5.5 pipelining, N queries deep) ---------------
   //
-  // The classic per-query cycle — Estimate, EnqueueGradient, feedback,
-  // CollectGradient — keeps ONE query's device state resident (slot 0).
-  // Streaming generalizes that state into a ring of `depth` descriptor
-  // slots per shard: `BeginEstimateSlot(box, k % depth)` enqueues query
-  // k's full estimate (+ gradient) chain without waiting, so the chain
-  // for query k+1 enters the in-order queues while query k's gradient
-  // and Karma feedback are still pending on the device. Every command
-  // touches only its slot's buffers, so the per-device in-order queue is
-  // the only ordering needed: slot reuse across the ring wrap (query
-  // k+depth reusing query k's slot) is a WAR hazard resolved by queue
-  // order, which the strict hazard checker verifies. Modeled time never
-  // feeds back into the math, so a streamed schedule produces bitwise
-  // the estimates of its fully-drained replay.
+  // Every query runs on a slot: its estimate chain, its gradient pass
+  // (`EnqueueGradientSlot`, collected at feedback by
+  // `CollectGradientSlot`) and its retained contributions. Serving one
+  // query at a time uses slot 0 alone. A streaming session grows the
+  // ring to `depth` descriptor slots per shard: `BeginEstimateSlot(box,
+  // k % depth)` enqueues query k's full estimate (+ gradient) chain
+  // without waiting, so the chain for query k+1 enters the in-order
+  // queues while query k's gradient and Karma feedback are still pending
+  // on the device. Every command touches only its slot's buffers, so
+  // the per-device in-order queue is the only ordering needed: slot reuse
+  // across the ring wrap (query k+depth reusing query k's slot) is a WAR
+  // hazard resolved by queue order, which the strict hazard checker
+  // verifies. Modeled time never feeds back into the math, so a streamed
+  // schedule produces bitwise the estimates of its fully-drained replay.
 
   /// Grows every shard's slot ring to `depth` (>= 1) and freezes the
   /// sample rebalancer: migrations would permute rows under enqueued
@@ -204,14 +186,16 @@ class KdeEngine {
   /// uncollected slot passes (the caller owns ticket accounting).
   void DisableStreaming();
 
-  bool streaming() const { return streaming_; }
   std::size_t streaming_depth() const { return streaming_depth_; }
 
   /// Enqueues the full estimate chain of `box` on slot `slot` of every
   /// shard — bounds upload, contribution kernel, reduction, scalar
   /// read-back — without waiting. `FinishEstimateSlot(slot)` collects.
-  /// No rebalance housekeeping and no EWMA observation: streaming passes
-  /// overlap, so per-pass busy deltas are not attributable.
+  /// Outside a streaming session the pass also runs the multi-shard
+  /// rebalance housekeeping: a due migration is applied before the first
+  /// enqueue, and `FinishEstimateSlot` feeds the pass's busy time to the
+  /// rebalancer. Inside a session neither happens: passes overlap, so
+  /// per-pass busy deltas are not attributable.
   void BeginEstimateSlot(const Box& box, std::size_t slot);
 
   /// Waits on slot `slot`'s per-shard read-back events, folds the
@@ -219,9 +203,12 @@ class KdeEngine {
   /// `last_estimate()`). Requires a matching `BeginEstimateSlot`.
   double FinishEstimateSlot(std::size_t slot);
 
-  /// Enqueues the gradient pass for the bounds resident in slot `slot`
-  /// (the adaptive path calls this right after `BeginEstimateSlot`, so
-  /// both chains pipeline). Collect with `CollectGradientSlot`.
+  /// Enqueues the Section 5.5 gradient pass (steps 5-6) for the bounds
+  /// resident in slot `slot` without blocking: per shard, the fused
+  /// partials kernel, ONE segmented reduction over the d dim-major
+  /// partial segments, and a d-double read-back. The devices crunch while
+  /// the database executes the query. A still-pending gradient on the
+  /// slot is superseded. Collect with `CollectGradientSlot`.
   void EnqueueGradientSlot(std::size_t slot);
 
   /// Waits slot `slot`'s pending gradient and folds ∂p̂/∂h into
@@ -240,9 +227,6 @@ class KdeEngine {
   /// Valid for shard-0's row count.
   const DeviceBuffer<double>& contributions() const {
     return shards_[0].slots[feedback_slot_].contributions;
-  }
-  DeviceBuffer<double>* mutable_contributions() {
-    return &shards_[0].slots[feedback_slot_].contributions;
   }
 
   /// Per-point contributions retained on shard `shard` (local-row
@@ -306,8 +290,7 @@ class KdeEngine {
 
   /// Pre-pass housekeeping on multi-shard samples: applies any due
   /// rebalance and re-scatters the point scales if rows migrated. Must
-  /// run before the first enqueue of a pass and never between
-  /// `EnqueueGradient` and `CollectGradient`.
+  /// run before the first enqueue of a pass; a no-op while streaming.
   void PrepareForPass();
 
   /// Snapshots per-shard `DeviceBusySeconds` into `out`.
@@ -335,7 +318,7 @@ class KdeEngine {
 
   /// Enqueues the fused gradient-partials kernel on shard `shard` for the
   /// bounds currently resident in slot `slot`'s bounds_dev (shared by
-  /// EstimateWithGradient, EnqueueGradient and EnqueueGradientSlot).
+  /// EstimateWithGradient and EnqueueGradientSlot).
   void EnqueueGradientPartialsKernel(std::size_t shard, std::size_t slot);
 
   /// Queries per scratch tile for an m-query batch over `shard_rows`
@@ -394,7 +377,8 @@ class KdeEngine {
   /// slot is reused — by then the ring guarantees the previous upload
   /// completed (its query was delivered before the slot came around).
   std::vector<std::vector<double>> bounds_staging_;
-  bool gradient_pending_ = false;
+  /// Per-shard busy seconds at the last one-at-a-time BeginEstimateSlot.
+  std::vector<double> busy_before_;
   bool has_scales_ = false;
   bool streaming_ = false;
   std::size_t streaming_depth_ = 1;

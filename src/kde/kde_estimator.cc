@@ -24,7 +24,11 @@ std::string KdeModeName(KdeSelectivityEstimator::Mode mode) {
 KdeSelectivityEstimator::KdeSelectivityEstimator(Mode mode,
                                                  const Table* table,
                                                  const KdeConfig& config)
-    : mode_(mode), table_(table), config_(config), rng_(config.seed) {}
+    : mode_(mode),
+      table_(table),
+      config_(config),
+      rng_(config.seed),
+      tickets_(1) {}
 
 Result<std::unique_ptr<KdeSelectivityEstimator>>
 KdeSelectivityEstimator::Create(Mode mode, Device* device, const Table* table,
@@ -139,72 +143,35 @@ std::string KdeSelectivityEstimator::name() const {
 }
 
 double KdeSelectivityEstimator::EstimateSelectivity(const Box& box) {
-  // All modes answer with the plain estimate pass; only it is on the
-  // optimizer's critical path.
-  const double estimate = engine_->Estimate(box);
-  last_box_ = box;
-  has_last_box_ = true;
-  if (mode_ == Mode::kAdaptive && adaptive_.has_value()) {
-    // Section 5.5, steps 5-6: the gradient pass for this query is
-    // enqueued now and crunches while the database executes the query;
-    // ObserveTrueSelectivity collects it when the feedback arrives. A
-    // query that never gets feedback leaves a pending pass that the next
-    // estimate's EnqueueGradient simply supersedes.
-    engine_->EnqueueGradient();
-  }
-  return std::clamp(estimate, 0.0, 1.0);
+  // One query at a time is the depth-1 ticket ring: begin and deliver a
+  // ticket and leave it open for its feedback. A ticket that never gets
+  // feedback is superseded here, and its pending gradient pass by the
+  // next one on the same slot.
+  FKDE_CHECK_MSG(stream_depth_ == 0, "classic call inside a streaming session");
+  if (stream_in_flight() > 0) StreamRetire(oldest_ticket_);
+  return StreamDeliver(StreamBegin(box));
 }
 
 void KdeSelectivityEstimator::ObserveTrueSelectivity(const Box& box,
                                                      double selectivity) {
-  if (mode_ == Mode::kPeriodic) {
-    ObservePeriodicFeedback(box, selectivity);
+  FKDE_CHECK_MSG(stream_depth_ == 0, "classic call inside a streaming session");
+  if (!IsSelectivity(selectivity)) return;
+  if (mode_ != Mode::kAdaptive) {
+    // No device pass pairs with this feedback: the box alone is enough.
+    if (mode_ == Mode::kPeriodic) ObservePeriodicFeedback(box, selectivity);
     return;
   }
-  if (mode_ != Mode::kAdaptive) return;
-
-  // Out-of-order feedback (a box we did not just estimate, or a second
-  // feedback for the same box): recompute the estimate and re-enqueue the
-  // gradient so both the pending pass and the retained contributions
-  // Karma reuses below match `box`. This exceptional path pays the full
-  // gradient cost inline.
-  if (!has_last_box_ || !(box == last_box_) || !engine_->gradient_pending()) {
-    engine_->Estimate(box);
-    last_box_ = box;
-    has_last_box_ = true;
-    engine_->EnqueueGradient();
+  // Out-of-order feedback (a box the open ticket does not hold, or a
+  // second feedback for the same box) is the one slow path: a fresh
+  // ticket for `box`, so that the gradient pass and the retained
+  // contributions Karma reuses both match it. It pays the full gradient
+  // cost inline.
+  if (stream_in_flight() == 0 ||
+      !(tickets_[SlotOf(oldest_ticket_)].box == box)) {
+    if (stream_in_flight() > 0) StreamRetire(oldest_ticket_);
+    StreamDeliver(StreamBegin(box));
   }
-
-  // Listing 1: collect the gradient pass enqueued at estimate time — by
-  // now it has been hidden behind the query's execution — chain it with
-  // ∂L/∂p̂ (eq. 14) and feed the per-query loss gradient to RMSprop.
-  std::vector<double> est_grad;
-  engine_->CollectGradient(&est_grad);
-  const double dl_dp = LossDerivative(config_.loss, engine_->last_estimate(),
-                                      selectivity, config_.lambda);
-  for (double& g : est_grad) g *= dl_dp;
-  std::vector<double> bandwidth = engine_->bandwidth();
-  if (adaptive_->Observe(est_grad, &bandwidth)) {
-    FKDE_CHECK_OK(engine_->SetBandwidth(bandwidth));
-  }
-
-  // Karma maintenance (Section 5.6): first collect the pass enqueued at
-  // the PREVIOUS feedback — it ran while this query executed — and
-  // replace the sample points it flagged (one d-float row upload each).
-  // A quiesce (snapshot/eviction) may already have collected the pass
-  // into pending_karma_slots_; either way the replacements apply here.
-  if (karma_.has_value() && table_ != nullptr && !table_->empty()) {
-    if (karma_->update_pending()) {
-      const std::vector<std::size_t> slots = karma_->CollectPending();
-      pending_karma_slots_.insert(pending_karma_slots_.end(), slots.begin(),
-                                  slots.end());
-    }
-    ApplyPendingKarma();
-    // Then enqueue the scoring pass for THIS query's feedback; it reuses
-    // the retained contributions and runs while the database processes
-    // the next statement.
-    karma_->EnqueueUpdate(box, selectivity);
-  }
+  StreamFeedback(oldest_ticket_, selectivity);
 }
 
 void KdeSelectivityEstimator::ObservePeriodicFeedback(const Box& box,
@@ -239,81 +206,92 @@ Status KdeSelectivityEstimator::EnableStreaming(std::size_t depth) {
   if (depth == 0) {
     return Status::InvalidArgument("streaming depth must be >= 1");
   }
-  FKDE_CHECK_MSG(tickets_.empty(), "cannot resize an active stream");
-  // Fold classic-path pending state (an enqueued gradient, a pending
-  // Karma pass) into host state so slot 0 starts the stream clean.
+  // Retire the open one-at-a-time ticket and fold pending device state
+  // (its gradient pass, a pending Karma pass) into host state, so slot 0
+  // starts the session clean. Requires no streamed tickets in flight.
   Quiesce();
   FKDE_RETURN_NOT_OK(engine_->EnableStreaming(depth));
   stream_depth_ = depth;
+  tickets_.resize(depth);
   // Ticket ids are session-local: they restart at 0 for every streaming
   // session. Carrying the counter across sessions made it hidden
   // persistent state — a restored model would hand out different ids
   // than the original, breaking streamed replay equivalence.
   next_ticket_ = 0;
+  oldest_ticket_ = 0;
   return Status::OK();
 }
 
 void KdeSelectivityEstimator::DisableStreaming() {
-  FKDE_CHECK_MSG(tickets_.empty(),
-                 "disable requires all streamed tickets retired");
   if (stream_depth_ == 0) return;
+  FKDE_CHECK_MSG(stream_in_flight() == 0,
+                 "disable requires all streamed tickets retired");
   engine_->DisableStreaming();
   stream_depth_ = 0;
+  tickets_.resize(1);
 }
 
 std::uint64_t KdeSelectivityEstimator::StreamBegin(const Box& box) {
-  FKDE_CHECK_MSG(stream_depth_ > 0, "streaming not enabled");
-  FKDE_CHECK_MSG(tickets_.size() < stream_depth_,
+  FKDE_CHECK_MSG(stream_in_flight() < tickets_.size(),
                  "admission window full: deliver feedback first");
-  StreamTicket ticket;
-  ticket.id = next_ticket_++;
-  ticket.slot = static_cast<std::size_t>(ticket.id % stream_depth_);
-  ticket.box = box;
-  engine_->BeginEstimateSlot(box, ticket.slot);
-  if (mode_ == Mode::kAdaptive && adaptive_.has_value()) {
-    // Pipeline the gradient right behind the estimate chain: it crunches
-    // while later queries stream in and is collected at feedback time.
-    engine_->EnqueueGradientSlot(ticket.slot);
+  const std::uint64_t id = next_ticket_++;
+  const std::size_t slot = SlotOf(id);
+  StreamTicket& ticket = tickets_[slot];
+  ticket.box = box;  // Reuses the ring entry's storage.
+  ticket.delivered = false;
+  engine_->BeginEstimateSlot(box, slot);
+  if (stream_depth_ > 0 && adaptive_.has_value()) {
+    // In a session the gradient pipelines right behind the estimate
+    // chain: it crunches while later queries stream in and is collected
+    // at feedback time.
+    engine_->EnqueueGradientSlot(slot);
   }
-  tickets_.push_back(std::move(ticket));
-  return tickets_.back().id;
+  return id;
 }
 
 double KdeSelectivityEstimator::StreamDeliver(std::uint64_t ticket) {
-  FKDE_CHECK_MSG(!tickets_.empty(), "no in-flight tickets");
-  StreamTicket& front = tickets_.front();
-  FKDE_CHECK_MSG(front.id == ticket, "tickets deliver FIFO");
+  FKDE_CHECK_MSG(stream_in_flight() > 0, "no in-flight tickets");
+  FKDE_CHECK_MSG(ticket == oldest_ticket_, "tickets deliver FIFO");
+  const std::size_t slot = SlotOf(ticket);
+  StreamTicket& front = tickets_[slot];
   FKDE_CHECK_MSG(!front.delivered, "ticket already delivered");
-  front.raw_estimate = engine_->FinishEstimateSlot(front.slot);
+  front.raw_estimate = engine_->FinishEstimateSlot(slot);
   front.delivered = true;
+  if (stream_depth_ == 0 && adaptive_.has_value()) {
+    // One query at a time, the gradient follows the estimate read-back
+    // (Section 5.5, steps 5-6): only the estimate is on the optimizer's
+    // critical path, and the rebalancer measures the estimate pass alone.
+    engine_->EnqueueGradientSlot(slot);
+  }
   return std::clamp(front.raw_estimate, 0.0, 1.0);
 }
 
 void KdeSelectivityEstimator::StreamRetire(std::uint64_t ticket) {
-  FKDE_CHECK_MSG(!tickets_.empty(), "no in-flight tickets");
-  FKDE_CHECK_MSG(tickets_.front().id == ticket, "tickets retire FIFO");
-  FKDE_CHECK_MSG(tickets_.front().delivered, "retire before delivery");
-  tickets_.pop_front();
+  FKDE_CHECK_MSG(stream_in_flight() > 0, "no in-flight tickets");
+  FKDE_CHECK_MSG(ticket == oldest_ticket_, "tickets retire FIFO");
+  FKDE_CHECK_MSG(tickets_[SlotOf(ticket)].delivered, "retire before delivery");
+  ++oldest_ticket_;
 }
 
 void KdeSelectivityEstimator::StreamFeedback(std::uint64_t ticket,
                                              double selectivity) {
-  FKDE_CHECK_MSG(!tickets_.empty(), "no in-flight tickets");
-  const StreamTicket front = tickets_.front();
-  FKDE_CHECK_MSG(front.id == ticket, "tickets retire FIFO");
-  FKDE_CHECK_MSG(front.delivered, "feedback before delivery");
-  tickets_.pop_front();
+  StreamRetire(ticket);
+  // The retired entry stays intact until a later StreamBegin reuses it.
+  const std::size_t slot = SlotOf(ticket);
+  const StreamTicket& front = tickets_[slot];
+  if (!IsSelectivity(selectivity)) return;
   if (mode_ == Mode::kPeriodic) {
     ObservePeriodicFeedback(front.box, selectivity);
     return;
   }
   if (mode_ != Mode::kAdaptive) return;
 
-  // The same Listing-1 feedback cycle as ObserveTrueSelectivity, keyed to
-  // the ticket's slot: collect ITS pipelined gradient, chain ∂L/∂p̂ from
-  // ITS raw estimate, step RMSprop.
+  // Listing 1: collect the ticket's gradient pass — by now it has been
+  // hidden behind the query's execution — chain it with ∂L/∂p̂ (eq. 14)
+  // from the ticket's raw estimate and feed the per-query loss gradient
+  // to RMSprop.
   std::vector<double> est_grad;
-  engine_->CollectGradientSlot(front.slot, &est_grad);
+  engine_->CollectGradientSlot(slot, &est_grad);
   const double dl_dp = LossDerivative(config_.loss, front.raw_estimate,
                                       selectivity, config_.lambda);
   for (double& g : est_grad) g *= dl_dp;
@@ -322,11 +300,15 @@ void KdeSelectivityEstimator::StreamFeedback(std::uint64_t ticket,
     FKDE_CHECK_OK(engine_->SetBandwidth(bandwidth));
   }
 
-  // Karma (Section 5.6), one query late exactly as the classic path:
-  // collect the pass enqueued at the previous ticket's feedback, apply
-  // its replacements, then point the feedback context at THIS ticket's
-  // slot so the new scoring pass reads the contributions and estimate of
-  // the query the feedback belongs to.
+  // Karma maintenance (Section 5.6): first collect the pass enqueued at
+  // the PREVIOUS feedback — it ran while this query executed — and
+  // replace the sample points it flagged (one d-float row upload each).
+  // A quiesce (snapshot/eviction) may already have collected the pass
+  // into pending_karma_slots_; either way the replacements apply here.
+  // Then point the feedback context at this ticket's slot and enqueue
+  // the scoring pass for this feedback: it reuses the retained
+  // contributions of the query the feedback belongs to, and runs while
+  // the database processes the next statement.
   if (karma_.has_value() && table_ != nullptr && !table_->empty()) {
     if (karma_->update_pending()) {
       const std::vector<std::size_t> slots = karma_->CollectPending();
@@ -334,7 +316,7 @@ void KdeSelectivityEstimator::StreamFeedback(std::uint64_t ticket,
                                   slots.end());
     }
     ApplyPendingKarma();
-    engine_->SetFeedbackContext(front.slot, front.raw_estimate);
+    engine_->SetFeedbackContext(slot, front.raw_estimate);
     karma_->EnqueueUpdate(front.box, selectivity);
   }
 }
@@ -350,24 +332,27 @@ void KdeSelectivityEstimator::ApplyPendingKarma() {
 }
 
 void KdeSelectivityEstimator::Quiesce() {
+  if (stream_depth_ == 0 && stream_in_flight() > 0) {
+    // The open one-at-a-time ticket retires. Its gradient pass is
+    // collected and dropped: the next feedback for its box takes the
+    // slow path, which recomputes the same gradient bitwise (the pass is
+    // a deterministic function of sample, bandwidth and box).
+    if (adaptive_.has_value()) {
+      std::vector<double> discarded;
+      engine_->CollectGradientSlot(0, &discarded);
+    }
+    StreamRetire(oldest_ticket_);
+  }
   // Streamed tickets cannot be folded into host state: their slots hold
   // estimates the client has not seen yet. The serving layer retires the
   // stream before snapshotting or evicting a model.
-  FKDE_CHECK_MSG(tickets_.empty(), "quiesce with streamed tickets in flight");
-  if (engine_->gradient_pending()) {
-    // The pass belongs to last_box_; dropping it is safe because clearing
-    // has_last_box_ below routes the next feedback through the recompute
-    // path, which reproduces the same gradient bitwise (the pass is a
-    // deterministic function of sample, bandwidth and box).
-    std::vector<double> discarded;
-    engine_->CollectGradient(&discarded);
-  }
+  FKDE_CHECK_MSG(stream_in_flight() == 0,
+                 "quiesce with streamed tickets in flight");
   if (karma_.has_value() && karma_->update_pending()) {
     const std::vector<std::size_t> slots = karma_->CollectPending();
     pending_karma_slots_.insert(pending_karma_slots_.end(), slots.begin(),
                                 slots.end());
   }
-  has_last_box_ = false;
 }
 
 void KdeSelectivityEstimator::OnInsert(std::span<const double> row,

@@ -26,7 +26,6 @@
 #define FKDE_KDE_KDE_ESTIMATOR_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <span>
@@ -102,45 +101,58 @@ class KdeSelectivityEstimator : public SelectivityEstimator {
                 std::size_t table_rows_after) override;
   std::size_t ModelBytes() const override;
 
-  // -- Streamed serving (N queries in flight) --------------------------
+  // -- The query path: a ring of tickets --------------------------------
   //
-  // The classic EstimateSelectivity / ObserveTrueSelectivity pair keeps
-  // at most one query's device state alive. The ticketed triple below
-  // generalizes it: `StreamBegin` enqueues query k's estimate (and, for
-  // the adaptive variant, its gradient) chain on slot k % depth without
-  // waiting, `StreamDeliver` collects the estimate when the optimizer
-  // needs it, and `StreamFeedback` applies the query's true selectivity
-  // — RMSprop step, Karma collection/replacements, next Karma pass —
-  // against the ticket's own slot, so feedback for query k lands
-  // correctly while queries k+1..k+depth-1 are already in flight.
-  // Tickets deliver and retire strictly FIFO (checked). With depth 1 the
-  // enqueued command sequence is identical to the classic pair's.
+  // Every query is a ticket. `StreamBegin` enqueues query k's estimate
+  // chain on slot k % depth without waiting, `StreamDeliver` collects the
+  // estimate when the optimizer needs it, and `StreamFeedback` applies
+  // the query's true selectivity — RMSprop step, Karma collection and
+  // replacements, next Karma pass — against the ticket's own slot, so
+  // feedback for query k lands correctly while later queries are already
+  // in flight. Tickets deliver and retire strictly FIFO (checked).
+  //
+  // The ring always exists. Outside a streaming session it has depth 1,
+  // and the classic pair runs on it: EstimateSelectivity begins and
+  // delivers a ticket and leaves it open; ObserveTrueSelectivity feeds
+  // back the open ticket, or, for a box it does not hold, begins and
+  // delivers a fresh one first. The adaptive gradient pass is enqueued
+  // at delivery, the multi-device sample rebalances between passes, and
+  // the next estimate supersedes a ticket that never gets feedback.
+  // Inside a session (EnableStreaming) the gradient is enqueued at
+  // admission so it pipelines behind the estimate, and the rebalancer
+  // is frozen.
 
   /// Switches the model into streamed serving with `depth` in-flight
-  /// tickets. Quiesces classic-path pending state first (so slot 0 is
-  /// free) and freezes the sample rebalancer for the duration. Requires
-  /// no in-flight tickets.
+  /// tickets. Quiesces first (retiring the open depth-1 ticket, so slot
+  /// 0 is free) and freezes the sample rebalancer for the duration.
+  /// Requires no streamed tickets in flight.
   Status EnableStreaming(std::size_t depth);
 
-  /// Drains the device queues and returns to classic serving. Requires
+  /// Drains the device queues and returns to the depth-1 ring. Requires
   /// all tickets retired.
   void DisableStreaming();
 
+  /// Session depth; 0 outside a streaming session.
   std::size_t streaming_depth() const { return stream_depth_; }
-  /// Tickets begun but not yet retired by StreamFeedback.
-  std::size_t stream_in_flight() const { return tickets_.size(); }
+  /// Tickets begun but not yet retired — outside a session, the open
+  /// ticket of the last estimate, if it got no feedback yet.
+  std::size_t stream_in_flight() const {
+    return static_cast<std::size_t>(next_ticket_ - oldest_ticket_);
+  }
 
-  /// Admits `box` into the stream: enqueues its estimate (+ gradient)
-  /// chain and returns the ticket. Requires a free slot
-  /// (stream_in_flight() < streaming_depth()).
+  /// Admits `box`: enqueues its estimate chain (in a session, plus the
+  /// adaptive gradient pass) and returns the ticket. Requires a free
+  /// slot (stream_in_flight() below the ring depth).
   std::uint64_t StreamBegin(const Box& box);
 
   /// Waits for `ticket`'s estimate read-backs and returns the clamped
   /// selectivity. Must be called FIFO, once per ticket.
   double StreamDeliver(std::uint64_t ticket);
 
-  /// Applies the true selectivity for `ticket` (delivered, FIFO) and
-  /// retires it, freeing its slot for the next admission.
+  /// Retires `ticket` (delivered, FIFO), freeing its slot for the next
+  /// admission, and applies its true selectivity. A `selectivity` that
+  /// is not in [0, 1] (NaN included) is dropped: the ticket retires and
+  /// the model does not change.
   void StreamFeedback(std::uint64_t ticket, double selectivity);
 
   /// Retires `ticket` (delivered, FIFO) WITHOUT feedback — the frozen-
@@ -149,12 +161,14 @@ class KdeSelectivityEstimator : public SelectivityEstimator {
   void StreamRetire(std::uint64_t ticket);
 
   /// Folds every in-flight device pass into host state so the model can
-  /// be serialized or torn down without losing behavior: a pending
-  /// gradient is collected and discarded (the next out-of-order feedback
-  /// recomputes it, bitwise-identically), and a pending Karma pass is
-  /// collected into `pending_karma_slots_`, to be applied at the next
-  /// feedback exactly as the non-quiesced path would. Estimates before
-  /// and after a quiesce are unchanged; snapshot/eviction call this.
+  /// be serialized or torn down without losing behavior: the open
+  /// depth-1 ticket retires and its gradient is collected and discarded
+  /// (the next feedback for its box recomputes it, bitwise-identically),
+  /// and a pending Karma pass is collected into `pending_karma_slots_`,
+  /// to be applied at the next feedback exactly as the non-quiesced path
+  /// would. Estimates before and after a quiesce are unchanged;
+  /// snapshot/eviction call this. Requires no streamed tickets in
+  /// flight.
   void Quiesce();
 
   /// Current bandwidth (host copy) — diagnostics and tests.
@@ -191,18 +205,21 @@ class KdeSelectivityEstimator : public SelectivityEstimator {
   void ApplyPendingKarma();
 
   /// Periodic-mode feedback: ring-buffer append plus the due
-  /// re-optimization (shared by the classic and streamed paths).
+  /// re-optimization.
   void ObservePeriodicFeedback(const Box& box, double selectivity);
 
-  /// One streamed query's host-side state, alive from StreamBegin until
-  /// its StreamFeedback retires it.
+  /// One query's host-side state, alive from StreamBegin until the slot
+  /// is reused; ticket k lives in entry (and engine slot) k % depth.
   struct StreamTicket {
-    std::uint64_t id = 0;
-    std::size_t slot = 0;      ///< Engine ring slot (id % depth).
     Box box;                   ///< For the Karma pass at feedback time.
     double raw_estimate = 0.0; ///< Unclamped, for the loss derivative.
     bool delivered = false;
   };
+
+  /// Ring entry, and engine slot, of ticket `id`.
+  std::size_t SlotOf(std::uint64_t id) const {
+    return static_cast<std::size_t>(id % tickets_.size());
+  }
 
   FKDE_SNAPSHOT_EXCLUDE("serialized in the snapshot header; restore feeds it through the constructor")
   Mode mode_;
@@ -218,13 +235,6 @@ class KdeSelectivityEstimator : public SelectivityEstimator {
   std::optional<ReservoirMaintainer> reservoir_;
   BatchReport batch_report_;
 
-  // Feedback pairing: the enqueued gradient pass and Karma's retained
-  // contributions are only valid for the last estimated box; out-of-order
-  // feedback triggers a recompute.
-  FKDE_SNAPSHOT_EXCLUDE("cleared by the Quiesce() that precedes every snapshot; the next feedback recomputes")
-  Box last_box_;
-  FKDE_SNAPSHOT_EXCLUDE("cleared by the Quiesce() that precedes every snapshot; the next feedback recomputes")
-  bool has_last_box_ = false;
   std::size_t karma_replacements_ = 0;
   /// Replacement slots collected from the device but not yet applied:
   /// Karma lands its replacements one query late (Section 5.6), so a
@@ -232,11 +242,14 @@ class KdeSelectivityEstimator : public SelectivityEstimator {
   /// snapshots, which is what keeps evict/restore bitwise-faithful.
   std::vector<std::size_t> pending_karma_slots_;
 
-  // Streamed serving: FIFO of in-flight tickets; depth 0 = classic mode.
-  FKDE_SNAPSHOT_EXCLUDE("streaming session state; Quiesce() asserts no tickets are open at snapshot time")
-  std::deque<StreamTicket> tickets_;
+  // The ticket ring: one entry outside a session, `stream_depth_` inside.
+  // Tickets [oldest_ticket_, next_ticket_) are in flight.
+  FKDE_SNAPSHOT_EXCLUDE("ticket ring; the Quiesce() that precedes every snapshot retires every ticket")
+  std::vector<StreamTicket> tickets_;
   FKDE_SNAPSHOT_EXCLUDE("session-local ticket counter; EnableStreaming resets it to 0 per session")
   std::uint64_t next_ticket_ = 0;
+  FKDE_SNAPSHOT_EXCLUDE("session-local ticket counter; EnableStreaming resets it to 0 per session")
+  std::uint64_t oldest_ticket_ = 0;
   FKDE_SNAPSHOT_EXCLUDE("streaming session state; a restored model starts in classic mode until re-enabled")
   std::size_t stream_depth_ = 0;
 

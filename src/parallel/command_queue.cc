@@ -187,6 +187,7 @@ void CommandQueue::DispatchLoop() {
     // modeled ends were already folded into this command's modeled start.
     for (const Event& dep : command.deps) dep.state_->WaitReal();
     if (command.run) command.run();
+    command.done->executed.store(true);
     // Drop the closure before completion becomes observable: captured
     // resources (scratch handles parking back into the pool) must be
     // released by the time a host Wait()/Finish() returns, not when the

@@ -69,6 +69,7 @@
 #ifndef FKDE_PARALLEL_COMMAND_QUEUE_H_
 #define FKDE_PARALLEL_COMMAND_QUEUE_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -138,6 +139,10 @@ struct EventState {
   std::mutex mu;
   std::condition_variable cv;
   bool complete = false;
+  /// The body has run, so the command touches no buffer any more; set
+  /// before its closure (and the scratch handles it holds) is dropped,
+  /// which happens before `complete`.
+  std::atomic<bool> executed{false};
   double modeled_end_s = 0.0;  ///< Absolute device-timeline completion.
   Device* device = nullptr;
   std::uint64_t queue_id = 0;     ///< Owning queue (process-unique).

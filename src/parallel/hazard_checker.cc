@@ -67,10 +67,10 @@ void BufferRegistry::AddObserver(std::weak_ptr<HazardChecker> observer) {
 
 namespace {
 
-bool StateComplete(const std::shared_ptr<EventState>& state) {
-  if (!state) return true;
-  std::lock_guard<std::mutex> lock(state->mu);
-  return state->complete;
+/// True once the command's body has run: a buffer it referenced may be
+/// released or parked from then on, even by its own closure.
+bool StateExecuted(const std::shared_ptr<EventState>& state) {
+  return !state || state->executed.load();
 }
 
 }  // namespace
@@ -429,7 +429,7 @@ void HazardChecker::ReportInFlightLocked(std::uint64_t id, HazardKind kind,
   for (const Interval& interval : it->second.intervals) {
     for (const Frontier* frontier : {&interval.writers, &interval.readers}) {
       for (const auto& [queue, ref] : *frontier) {
-        if (internal::StateComplete(ref.state)) continue;
+        if (internal::StateExecuted(ref.state)) continue;
         std::ostringstream os;
         os << HazardKindName(kind) << ": buffer " << id << " " << what
            << " while " << DescribeRef(ref)

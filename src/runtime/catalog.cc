@@ -1,6 +1,7 @@
 #include "runtime/catalog.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "common/logging.h"
@@ -8,6 +9,15 @@
 
 namespace fkde {
 namespace {
+
+/// A query box must have one bound pair per model column; the engine
+/// treats any other arity as a programming error and aborts.
+Status CheckArity(const Table& table, const Box& box) {
+  if (box.dims() == table.num_cols()) return Status::OK();
+  return Status::InvalidArgument(
+      "query box has " + std::to_string(box.dims()) + " dims, model has " +
+      std::to_string(table.num_cols()));
+}
 
 /// Catalog-bound estimator facade: routes the SelectivityEstimator
 /// protocol through the catalog so residency stays fluid underneath a
@@ -25,7 +35,11 @@ class CatalogModelHandle : public SelectivityEstimator {
   }
 
   void ObserveTrueSelectivity(const Box& box, double selectivity) override {
-    FKDE_CHECK_OK(catalog_->Feedback(key_, box, selectivity));
+    // The handle drops feedback the catalog rejects, as the estimator
+    // behind it drops a value that is not a selectivity; any other
+    // failure is a broken invariant.
+    const Status status = catalog_->Feedback(key_, box, selectivity);
+    if (!status.IsInvalidArgument()) FKDE_CHECK_OK(status);
   }
 
   void OnInsert(std::span<const double> row,
@@ -129,6 +143,7 @@ Result<std::shared_ptr<ModelCatalog::Entry>> ModelCatalog::Find(
 
 Result<double> ModelCatalog::Estimate(const ModelKey& key, const Box& box) {
   FKDE_ASSIGN_OR_RETURN(std::shared_ptr<Entry> entry, Find(key));
+  FKDE_RETURN_NOT_OK(CheckArity(*entry->spec.table, box));
   std::lock_guard<std::mutex> lock(entry->mu);
   FKDE_RETURN_NOT_OK(EnsureResidentLocked(entry.get()));
   entry->queries_served.fetch_add(1, std::memory_order_relaxed);
@@ -138,6 +153,10 @@ Result<double> ModelCatalog::Estimate(const ModelKey& key, const Box& box) {
 Status ModelCatalog::Feedback(const ModelKey& key, const Box& box,
                               double selectivity) {
   FKDE_ASSIGN_OR_RETURN(std::shared_ptr<Entry> entry, Find(key));
+  FKDE_RETURN_NOT_OK(CheckArity(*entry->spec.table, box));
+  if (!IsSelectivity(selectivity)) {
+    return Status::InvalidArgument("feedback selectivity must be in [0, 1]");
+  }
   std::lock_guard<std::mutex> lock(entry->mu);
   FKDE_RETURN_NOT_OK(EnsureResidentLocked(entry.get()));
   entry->feedback_applied.fetch_add(1, std::memory_order_relaxed);

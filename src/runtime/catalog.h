@@ -150,10 +150,13 @@ class ModelCatalog {
   Status Drop(const ModelKey& key);
 
   /// Serves one estimate through the model (building or faulting it in
-  /// first if needed).
+  /// first if needed). InvalidArgument, with the model untouched, when
+  /// `box` does not have one dimension per model column.
   Result<double> Estimate(const ModelKey& key, const Box& box);
 
-  /// Applies query feedback through the model.
+  /// Applies query feedback through the model. InvalidArgument, with the
+  /// model untouched, for a box of the wrong arity or a `selectivity`
+  /// that is not a finite value in [0, 1].
   Status Feedback(const ModelKey& key, const Box& box, double selectivity);
 
   /// Ensures the model is resident and returns it (catalog retains

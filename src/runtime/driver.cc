@@ -6,17 +6,11 @@ namespace fkde {
 
 namespace {
 
-/// The database executes the query between estimate and feedback; on the
-/// modeled timeline that is external host time, during which enqueued
-/// device work keeps running.
-void ModelQueryExecution(const RunOptions& options) {
-  if (options.modeled_execution_s <= 0.0) return;
-  if (options.device_group != nullptr) {
-    // Every device in the group sees the same external wall time.
-    options.device_group->AdvanceHostTime(options.modeled_execution_s);
-  } else if (options.device != nullptr) {
-    options.device->AdvanceHostTime(options.modeled_execution_s);
-  }
+/// Appends one query's outcome to `stats`.
+void Record(double estimate, double truth, RunStats* stats) {
+  stats->absolute_errors.push_back(std::abs(estimate - truth));
+  stats->signed_errors.push_back(estimate - truth);
+  stats->truths.push_back(truth);
 }
 
 }  // namespace
@@ -29,39 +23,20 @@ double RunStats::MeanAbsoluteError() const {
 }
 
 RunStats FeedbackDriver::RunPrecomputed(SelectivityEstimator* estimator,
-                                        std::span<const Query> workload,
-                                        const RunOptions& options) {
+                                        std::span<const Query> workload) {
   RunStats stats;
-  stats.absolute_errors.reserve(workload.size());
-  stats.signed_errors.reserve(workload.size());
-  stats.truths.reserve(workload.size());
   for (const Query& query : workload) {
     const double estimate = estimator->EstimateSelectivity(query.box);
-    ModelQueryExecution(options);
-    if (options.feedback) {
-      estimator->ObserveTrueSelectivity(query.box, query.selectivity);
-    }
-    stats.absolute_errors.push_back(std::abs(estimate - query.selectivity));
-    stats.signed_errors.push_back(estimate - query.selectivity);
-    stats.truths.push_back(query.selectivity);
+    estimator->ObserveTrueSelectivity(query.box, query.selectivity);
+    Record(estimate, query.selectivity, &stats);
   }
   return stats;
 }
 
-RunStats FeedbackDriver::RunPrecomputed(SelectivityEstimator* estimator,
-                                        std::span<const Query> workload,
-                                        bool feedback) {
-  RunOptions options;
-  options.feedback = feedback;
-  return RunPrecomputed(estimator, workload, options);
-}
-
 RunStats FeedbackDriver::RunLive(SelectivityEstimator* estimator,
                                  Executor* executor,
-                                 std::span<const Box> queries,
-                                 const RunOptions& options) {
+                                 std::span<const Box> queries) {
   RunStats stats;
-  stats.absolute_errors.reserve(queries.size());
   for (const Box& box : queries) {
     const double estimate = estimator->EstimateSelectivity(box);
     // The executor's scan runs on the host while the commands the
@@ -69,60 +44,32 @@ RunStats FeedbackDriver::RunLive(SelectivityEstimator* estimator,
     // no synchronization until the estimator collects its events inside
     // ObserveTrueSelectivity.
     const double truth = executor->TrueSelectivity(box);
-    ModelQueryExecution(options);
-    if (options.feedback) estimator->ObserveTrueSelectivity(box, truth);
-    stats.absolute_errors.push_back(std::abs(estimate - truth));
-    stats.signed_errors.push_back(estimate - truth);
-    stats.truths.push_back(truth);
+    estimator->ObserveTrueSelectivity(box, truth);
+    Record(estimate, truth, &stats);
   }
   return stats;
 }
 
-RunStats FeedbackDriver::RunLive(SelectivityEstimator* estimator,
-                                 Executor* executor,
-                                 std::span<const Box> queries,
-                                 bool feedback) {
-  RunOptions options;
-  options.feedback = feedback;
-  return RunLive(estimator, executor, queries, options);
-}
-
 void FeedbackDriver::Train(SelectivityEstimator* estimator,
-                           std::span<const Query> workload,
-                           const RunOptions& options) {
+                           std::span<const Query> workload) {
   for (const Query& query : workload) {
     (void)estimator->EstimateSelectivity(query.box);
-    ModelQueryExecution(options);
     estimator->ObserveTrueSelectivity(query.box, query.selectivity);
   }
 }
 
 Result<RunStats> FeedbackDriver::RunCatalog(ModelCatalog* catalog,
                                             const ModelKey& key,
-                                            std::span<const Query> workload,
-                                            const RunOptions& options) {
+                                            std::span<const Query> workload) {
   if (catalog == nullptr) {
     return Status::InvalidArgument("catalog must be non-null");
   }
-  RunOptions effective = options;
-  if (effective.device_group == nullptr && effective.device == nullptr) {
-    effective.device_group = catalog->group();
-  }
   RunStats stats;
-  stats.absolute_errors.reserve(workload.size());
-  stats.signed_errors.reserve(workload.size());
-  stats.truths.reserve(workload.size());
   for (const Query& query : workload) {
     FKDE_ASSIGN_OR_RETURN(const double estimate,
                           catalog->Estimate(key, query.box));
-    ModelQueryExecution(effective);
-    if (effective.feedback) {
-      FKDE_RETURN_NOT_OK(
-          catalog->Feedback(key, query.box, query.selectivity));
-    }
-    stats.absolute_errors.push_back(std::abs(estimate - query.selectivity));
-    stats.signed_errors.push_back(estimate - query.selectivity);
-    stats.truths.push_back(query.selectivity);
+    FKDE_RETURN_NOT_OK(catalog->Feedback(key, query.box, query.selectivity));
+    Record(estimate, query.selectivity, &stats);
   }
   return stats;
 }
@@ -147,15 +94,8 @@ Result<RunStats> FeedbackDriver::RunStreamed(
   FKDE_ASSIGN_OR_RETURN(StreamingReport streamed,
                         executor.Run(estimator, queries));
   RunStats stats;
-  stats.absolute_errors.reserve(workload.size());
-  stats.signed_errors.reserve(workload.size());
-  stats.truths.reserve(workload.size());
   for (std::size_t i = 0; i < workload.size(); ++i) {
-    stats.absolute_errors.push_back(
-        std::abs(streamed.estimates[i] - workload[i].selectivity));
-    stats.signed_errors.push_back(streamed.estimates[i] -
-                                  workload[i].selectivity);
-    stats.truths.push_back(workload[i].selectivity);
+    Record(streamed.estimates[i], workload[i].selectivity, &stats);
   }
   if (report != nullptr) *report = std::move(streamed);
   return stats;

@@ -9,13 +9,14 @@
 /// Step (2) is where the paper's overlap happens: work the estimator
 /// enqueued during step (1) — the adaptive gradient pass, the previous
 /// query's Karma scoring — executes on the device while the database
-/// executes the query. `RunOptions::modeled_execution_s` advances the
-/// device's modeled host clock across step (2) so the modeled timeline
-/// reflects that concurrency (`Device::AdvanceHostTime`; the external
-/// time itself is excluded from `ModeledSeconds()`). In `RunLive` the
-/// executor's scan genuinely runs concurrently with the enqueued device
-/// commands — there is no synchronization point between the estimate and
-/// the feedback.
+/// executes the query. In `RunLive` the executor's scan genuinely runs
+/// concurrently with the enqueued device commands — there is no
+/// synchronization point between the estimate and the feedback. Every
+/// run serves its queries one at a time, through the estimator's depth-1
+/// ticket ring, except `RunStreamed`, which keeps a window in flight.
+/// Runs that model the execution window on the device clock
+/// (`Device::AdvanceHostTime`) drive the estimator directly, as fig7
+/// does, or through a `StreamingExecutor`.
 
 #ifndef FKDE_RUNTIME_DRIVER_H_
 #define FKDE_RUNTIME_DRIVER_H_
@@ -25,8 +26,6 @@
 
 #include "common/stats.h"
 #include "estimator/estimator.h"
-#include "parallel/device.h"
-#include "parallel/device_group.h"
 #include "runtime/catalog.h"
 #include "runtime/executor.h"
 #include "runtime/streaming_executor.h"
@@ -47,61 +46,31 @@ struct RunStats {
   Summary AbsoluteErrorSummary() const { return Summarize(absolute_errors); }
 };
 
-/// \brief Knobs of one driver run.
-struct RunOptions {
-  /// Feed the truth back after each query (false = frozen model).
-  bool feedback = true;
-  /// When set, `modeled_execution_s` of external query-execution time is
-  /// applied between each estimate and its feedback via
-  /// `device->AdvanceHostTime` — the window that hides enqueued device
-  /// work on the modeled timeline.
-  Device* device = nullptr;
-  /// Multi-device variant of `device`: the execution window advances every
-  /// device in the group (takes precedence when both are set).
-  DeviceGroup* device_group = nullptr;
-  /// Modeled wall time of executing one query in the database, seconds.
-  double modeled_execution_s = 0.0;
-};
-
 /// \brief Runs workloads through estimators with query feedback.
 class FeedbackDriver {
  public:
   /// The queries carry their exact selectivity from generation time (the
   /// table must be unchanged since), so no re-execution is needed.
   static RunStats RunPrecomputed(SelectivityEstimator* estimator,
-                                 std::span<const Query> workload,
-                                 const RunOptions& options = {});
-  /// Back-compat shorthand for `{.feedback = feedback}`.
-  static RunStats RunPrecomputed(SelectivityEstimator* estimator,
-                                 std::span<const Query> workload,
-                                 bool feedback);
+                                 std::span<const Query> workload);
 
   /// Runs a workload computing the truth against the live table via
   /// `executor` (used when the table mutates between queries).
   static RunStats RunLive(SelectivityEstimator* estimator,
-                          Executor* executor, std::span<const Box> queries,
-                          const RunOptions& options = {});
-  /// Back-compat shorthand for `{.feedback = feedback}`.
-  static RunStats RunLive(SelectivityEstimator* estimator,
-                          Executor* executor, std::span<const Box> queries,
-                          bool feedback);
+                          Executor* executor, std::span<const Box> queries);
 
   /// Feeds a training workload (estimate + feedback) without recording —
   /// the warm-up used to let self-tuning estimators (Adaptive, STHoles)
   /// absorb the training phase that Batch receives explicitly.
   static void Train(SelectivityEstimator* estimator,
-                    std::span<const Query> workload,
-                    const RunOptions& options = {});
+                    std::span<const Query> workload);
 
   /// Runs a precomputed workload through one catalog-served model: the
   /// serving analogue of RunPrecomputed, where residency (lazy build,
-  /// eviction, fault-back) is the catalog's business. When
-  /// `options.device_group` is unset, the catalog's group is used for the
-  /// modeled execution window.
+  /// eviction, fault-back) is the catalog's business.
   static Result<RunStats> RunCatalog(ModelCatalog* catalog,
                                      const ModelKey& key,
-                                     std::span<const Query> workload,
-                                     const RunOptions& options = {});
+                                     std::span<const Query> workload);
 
   /// Streamed analogue of RunPrecomputed: keeps `options.window` queries
   /// in flight through a `StreamingExecutor` (the estimator must be

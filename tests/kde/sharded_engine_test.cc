@@ -189,11 +189,11 @@ TEST(ShardedEngine, GradientPathsMatchSingleDevice) {
     // The asynchronous enqueue/collect pair folds to the same gradient.
     (void)twin.single->Estimate(box);
     (void)twin.sharded->Estimate(box);
-    twin.single->EnqueueGradient();
-    twin.sharded->EnqueueGradient();
+    twin.single->EnqueueGradientSlot(0);
+    twin.sharded->EnqueueGradientSlot(0);
     std::vector<double> a_single, a_sharded;
-    twin.single->CollectGradient(&a_single);
-    twin.sharded->CollectGradient(&a_sharded);
+    twin.single->CollectGradientSlot(0, &a_single);
+    twin.sharded->CollectGradientSlot(0, &a_sharded);
     for (std::size_t j = 0; j < a_single.size(); ++j) {
       EXPECT_NEAR(a_sharded[j], a_single[j],
                   1e-12 * std::max(1.0, std::fabs(a_single[j])));

@@ -236,6 +236,32 @@ TEST(HazardNegative, LeakedScratchParkedWhileInFlight) {
   EXPECT_NE(msg.find("'scratch_user'"), std::string::npos) << msg;
 }
 
+// The lifetime discipline kept: the kernel body holds the last handle,
+// so the buffer parks when the dispatcher drops the finished command's
+// closure — after the body ran, before its completion is published.
+TEST(HazardPositive, ScratchParkedByItsOwnFinishedCommand) {
+  Device device(DeviceProfile::OpenClCpu());
+  auto checker = AttachDeferred(&device);
+  std::atomic<bool> release{false};
+  {
+    ScratchBuffer scratch = device.AcquireScratch(4);
+    double* data = scratch->device_data();
+    const BufferAccess writes[] = {Writes(*scratch, 0, 1)};
+    device.default_queue()->EnqueueLaunch(
+        "scratch_owner", 1, 1.0,
+        [&release, scratch, data](std::size_t, std::size_t) {
+          while (!release.load()) std::this_thread::yield();
+          data[0] = 1.0;
+        },
+        writes);
+    // The host's handle drops while the command is still blocked.
+  }
+  release.store(true);
+  device.default_queue()->Finish();
+  EXPECT_TRUE(checker->Validate().empty()) << Messages(checker->Validate());
+  EXPECT_EQ(device.scratch_pool_stats().outstanding, 0u);
+}
+
 TEST(HazardNegative, UnwaitedReadback) {
   Device device(DeviceProfile::OpenClCpu());
   auto checker = AttachDeferred(&device);

@@ -5,8 +5,11 @@
 // plus lifecycle, LRU/pinning, stats, external snapshot persistence, and
 // the destruction-order regression for estimators sharing a group.
 
+#include <cmath>
 #include <cstring>
+#include <string>
 #include <memory>
+#include <ostream>
 #include <thread>
 #include <vector>
 
@@ -388,6 +391,78 @@ TEST_P(DestructionOrder, TwoTenantsWithInflightPassesEitherOrder) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothOrders, DestructionOrder, ::testing::Bool());
+
+// ---------------------------------------------------------------------------
+// Serving boundary: a request no model can serve comes back as a Status.
+// The model it names stays bitwise where it was, and the other models of
+// the catalog keep serving.
+
+struct BadRequest {
+  const char* name;
+  bool feedback;       ///< Feedback call; otherwise Estimate.
+  std::size_t dims;    ///< Box arity (the models have 3 columns).
+  double selectivity;  ///< Feedback only.
+};
+
+void PrintTo(const BadRequest& request, std::ostream* os) {
+  *os << request.name;
+}
+
+class CatalogBoundary : public ::testing::TestWithParam<BadRequest> {};
+
+TEST_P(CatalogBoundary, RejectsWithoutTouchingTheModel) {
+  const BadRequest& bad = GetParam();
+  Fleet fleet(2);
+  auto group = BuildDeviceGroup("gpu").MoveValueOrDie();
+  ModelCatalog catalog(group.get());
+  fleet.RegisterAll(&catalog);
+  const ModelKey& key = fleet.keys[0];
+  const std::vector<Query>& queries = fleet.workloads[0];
+  for (std::size_t q = 0; q + 1 < queries.size(); ++q) {
+    (void)catalog.Estimate(key, queries[q].box).MoveValueOrDie();
+    ASSERT_TRUE(
+        catalog.Feedback(key, queries[q].box, queries[q].selectivity).ok());
+  }
+  const Box& held_out = queries.back().box;
+  const double before = catalog.Estimate(key, held_out).MoveValueOrDie();
+
+  const Box& probe = queries.front().box;
+  const Box box(
+      std::vector<double>(probe.lower_bounds().begin(),
+                          probe.lower_bounds().begin() + bad.dims),
+      std::vector<double>(probe.upper_bounds().begin(),
+                          probe.upper_bounds().begin() + bad.dims));
+  const Status status = bad.feedback
+                            ? catalog.Feedback(key, box, bad.selectivity)
+                            : catalog.Estimate(key, box).status();
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  if (bad.feedback) {
+    // The SelectivityEstimator handle drops what the catalog rejects.
+    catalog.Handle(key).MoveValueOrDie()->ObserveTrueSelectivity(
+        box, bad.selectivity);
+  }
+
+  const double after = catalog.Estimate(key, held_out).MoveValueOrDie();
+  EXPECT_EQ(std::memcmp(&before, &after, sizeof(double)), 0)
+      << before << " became " << after;
+  for (const Query& q : fleet.workloads[1]) {
+    const double estimate =
+        catalog.Estimate(fleet.keys[1], q.box).MoveValueOrDie();
+    EXPECT_TRUE(estimate >= 0.0 && estimate <= 1.0);
+    EXPECT_TRUE(catalog.Feedback(fleet.keys[1], q.box, q.selectivity).ok());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BadRequests, CatalogBoundary,
+    ::testing::Values(
+        BadRequest{"NanFeedback", true, 3, std::nan("")},
+        BadRequest{"NegativeFeedback", true, 3, -5.0},
+        BadRequest{"WrongArityFeedback", true, 2, 0.5},
+        BadRequest{"WrongArityEstimate", false, 2, 0.0}),
+    [](const ::testing::TestParamInfo<BadRequest>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace fkde
